@@ -8,6 +8,7 @@ package critter_test
 // same rows the paper plots; cmd/figures regenerates them at DefaultScale.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -249,7 +250,7 @@ func BenchmarkAblationCollectiveModel(b *testing.B) {
 		for _, tree := range []bool{true, false} {
 			m := benchMachine()
 			m.CollectiveTree = tree
-			reports, err := autotune.FullOnly(study, m, 42)
+			reports, err := autotune.FullOnly(context.Background(), study, m, 42, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestConfigSpaceSizesMatchPaper(t *testing.T) {
 
 func TestFullOnlyCapitalQuick(t *testing.T) {
 	st := CapitalCholesky(QuickScale())
-	reports, err := FullOnly(st, quickMachine(), 3)
+	reports, err := FullOnly(context.Background(), st, quickMachine(), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

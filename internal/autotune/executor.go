@@ -4,8 +4,10 @@ package autotune
 // independent given its own deterministic world seeded identically, so the
 // full evaluation grid — within one Tuner or across several — is dispatched
 // to a bounded pool of worker goroutines. Each job writes into a
-// preallocated result slot, making results bit-identical to the sequential
-// path regardless of worker count or completion order. Cancellation is
+// preallocated result slot, and the only state a tuner's sweeps share, its
+// reference table, holds reports that do not depend on which sweep
+// computed them, making results bit-identical to the sequential path
+// regardless of worker count or completion order. Cancellation is
 // cooperative: workers skip pending jobs once the context is done, and a
 // running sweep aborts its world at the next configuration boundary.
 
@@ -92,7 +94,7 @@ func (s *scratch) world(size int, machine sim.Machine, seed uint64) *mpi.World {
 
 // sweepJob is one (study, policy, eps) cell of the evaluation grid. It owns
 // its result slot exclusively, so workers share no mutable state beyond the
-// progress sink.
+// progress sink and the tuner's reference table.
 type sweepJob struct {
 	study   Study
 	strat   Strategy
@@ -115,6 +117,9 @@ type sweepJob struct {
 	// installed by run from the worker's scratch arena. Nil disables
 	// memoization (results are byte-identical either way).
 	memo *critter.KernelMemo
+	// refs is the reference table shared by every sweep of the job's
+	// tuner (see refTable).
+	refs *refTable
 	out  *SweepResult
 	sink *progressSink
 	// emit, when non-nil, receives the finished sweep (or a zeroed one

@@ -4,7 +4,11 @@
 // epsilon, with the measurement protocol of Section VI-A — a full execution
 // directly prior to each approximated one, prediction error relative to
 // that full execution, and tuning cost as the total (virtual) time of the
-// selective executions.
+// selective executions. Every run begins a noise epoch keyed by its study,
+// configuration and role, so a configuration's reference depends only on
+// (study, configuration, seed): it is computed once per Tuner run, shared
+// by all its sweeps (reference.go), and identical by construction to a
+// full execution run directly before the approximated one.
 //
 // The central type is the Tuner (tuner.go), which composes a Study (a
 // configuration Space plus an SPMD runner), a search Strategy (Exhaustive —
@@ -19,12 +23,8 @@ package autotune
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
 
 	"critter/internal/critter"
-	"critter/internal/mpi"
 	"critter/internal/sim"
 )
 
@@ -121,6 +121,13 @@ type SweepResult struct {
 	// scheduling, so envelopes stay byte-identical with or without it.
 	// Surfaced operationally as the kernels_memoized_total metric.
 	KernelsMemoized int64 `json:"-"`
+	// ReferencesRun counts the configurations whose reference this sweep
+	// computed itself rather than read from the tuner's shared reference
+	// table; summed over a Run it equals the number of distinct
+	// configurations evaluated. Excluded from JSON like KernelsMemoized:
+	// which sweep computes a reference depends on scheduling, the report
+	// does not.
+	ReferencesRun int64 `json:"-"`
 
 	// Profile is what the sweep's selective executions learned, merged
 	// across every configuration and rank: kernel models, fitted family
@@ -181,61 +188,6 @@ func (e Experiment) Tuner() Tuner {
 // succeeded), matching ExperimentSuite's partial-result semantics.
 func (e Experiment) Run() (*Result, error) {
 	return e.Tuner().Run(context.Background())
-}
-
-// FullOnly runs every configuration once with full execution, returning the
-// per-configuration reports (the data of Figure 3: BSP cost trade-offs and
-// execution-time breakdowns). It parallelizes across configurations on the
-// default worker pool; see FullOnlyCtx for bounded pools and cancellation.
-func FullOnly(study Study, machine sim.Machine, seed uint64) ([]critter.Report, error) {
-	return FullOnlyCtx(context.Background(), study, machine, seed, 0)
-}
-
-// FullOnlyCtx is FullOnly with caller-controlled cancellation and pool
-// size (workers; 0 or negative means runtime.GOMAXPROCS(0)). Each
-// configuration runs in its own world seeded with seed, so results are
-// bit-identical at any worker count. The report slice is always returned
-// with failed or skipped configurations zeroed, alongside the joined
-// errors.
-func FullOnlyCtx(ctx context.Context, study Study, machine sim.Machine, seed uint64, workers int) ([]critter.Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := study.Size()
-	reports := make([]critter.Report, n)
-	errs := make([]error, n)
-	var scratches sync.Map // worker -> *scratch
-	forEachBounded(n, workers, func(v, worker int) {
-		sc, ok := scratches.Load(worker)
-		if !ok {
-			sc, _ = scratches.LoadOrStore(worker, newScratch())
-		}
-		errs[v] = fullOnlyConfig(ctx, study, machine, seed, v, sc.(*scratch), &reports[v])
-	})
-	return reports, errors.Join(errs...)
-}
-
-// fullOnlyConfig runs one configuration with full execution in its own
-// world — wired to the worker's arena — storing rank 0's report.
-func fullOnlyConfig(ctx context.Context, study Study, machine sim.Machine, seed uint64, v int, sc *scratch, out *critter.Report) error {
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("autotune: %s: config %d: %w", study.Name, v, err)
-	}
-	w := sc.world(study.WorldSize, machine, seed)
-	err := w.Run(func(c *mpi.Comm) {
-		p, cc := critter.New(c, critter.Options{Policy: critter.Conditional, Eps: 0})
-		p.StartConfig(true)
-		study.Run(p, cc, v)
-		rep := p.Report()
-		if c.Rank() == 0 {
-			*out = rep
-		}
-	})
-	if err != nil {
-		*out = critter.Report{}
-		return fmt.Errorf("autotune: %s: config %d: %w", study.Name, v, err)
-	}
-	return nil
 }
 
 // EpsList is the tolerance sweep eps = 2^0 .. 2^-(n-1).

@@ -78,9 +78,14 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 	}
 	begins := make(map[spanID]int)
 	counts := make(map[string]int)
-	rounds, virtualStamped := 0, 0
+	rounds, virtualStamped, noReference := 0, 0, 0
 	for _, ev := range events {
 		counts[ev.Kind+"/"+ev.Phase]++
+		// Most sweeps read their references from the shared table; the
+		// config's end event carries the reference time all the same.
+		if ev.Kind == obs.KindConfig && ev.Phase == obs.PhaseEnd && ev.FullVirtual <= 0 {
+			noReference++
+		}
 		if ev.Kind == obs.KindRound {
 			rounds++
 			if ev.Virtual > 0 {
@@ -111,6 +116,9 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 	}
 	if counts[obs.KindConfig+"/"+obs.PhaseEnd] == 0 {
 		t.Error("trace has no config spans")
+	}
+	if noReference > 0 {
+		t.Errorf("%d config end events carry no reference time", noReference)
 	}
 	if rounds == 0 || virtualStamped == 0 {
 		t.Errorf("trace has %d round events (%d with virtual time), want both nonzero", rounds, virtualStamped)

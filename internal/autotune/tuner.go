@@ -116,6 +116,7 @@ func (t Tuner) build(sink *progressSink) (*Result, []sweepJob) {
 		Sweeps:   make([][]SweepResult, len(policies)),
 	}
 	jobs := make([]sweepJob, 0, len(policies)*len(t.EpsList))
+	refs := newRefTable()
 	for pi, pol := range policies {
 		res.Sweeps[pi] = make([]SweepResult, len(t.EpsList))
 		for ei, eps := range t.EpsList {
@@ -131,6 +132,7 @@ func (t Tuner) build(sink *progressSink) (*Result, []sweepJob) {
 				newEst:      t.NewEstimator,
 				tracer:      t.Tracer,
 				sched:       t.Scheduler,
+				refs:        refs,
 				out:         &res.Sweeps[pi][ei],
 				sink:        sink,
 			})
@@ -244,10 +246,15 @@ func (c cancelError) Error() string { return "sweep canceled: " + c.err.Error() 
 func (c cancelError) Unwrap() error { return c.err }
 
 // runSweep performs one (policy, eps) pass over the configurations the
-// strategy selects: per configuration, a full reference execution directly
-// prior to the approximated one (the measurement protocol of Section VI-A).
-// Collective; the returned value is meaningful on every rank. Cancellation
-// is checked at every configuration boundary and aborts the whole world.
+// strategy selects: per configuration, the full reference execution and
+// then the approximated one (the measurement protocol of Section VI-A).
+// The reference is computed once per (study, configuration, seed) and
+// shared through the tuner's reference table: the sweep world that reaches
+// a configuration first runs it, every other reads it. Its noise epoch
+// makes it identical, by construction, to a full execution run directly
+// before the approximated one. Collective; the returned value is
+// meaningful on every rank. Cancellation is checked at every configuration
+// boundary and aborts the whole world.
 func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	study, pol, eps, strat := j.study, j.pol, j.eps, j.strat
 	// The tuner's explicit prior wins; otherwise a WarmStart strategy may
@@ -267,7 +274,7 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 	if j.newEst != nil {
 		opts.Estimator = j.newEst()
 	}
-	ref, refComm := critter.New(c, critter.Options{Policy: critter.Conditional, Eps: 0, Memo: j.memo})
+	ref, refComm := newReferenceProfiler(c, j.memo)
 	tuned, tunedComm := critter.New(c, opts)
 	// Trace from rank 0 only, mirroring the profiler's convention: one
 	// deterministic event stream per sweep, not one per rank.
@@ -310,21 +317,18 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 					Config: len(sr.Configs) + 1, Round: roundNo,
 				})
 			}
-			// Full execution directly prior to the approximated one. The
-			// configuration's memo key lets the reference run publish its
-			// interner for the selective run (and all later sweeps of the
-			// same worker) to adopt.
-			ck := critter.ConfigKey(study.Name, v)
-			ref.StartConfigKeyed(true, ck)
-			study.Run(ref, refComm, v)
-			full := ref.Report()
+			full, ran := j.refs.fetch(ctx, c, j.memo, ref, refComm, study, v)
+			if ran {
+				sr.ReferencesRun++
+			}
 
 			var sel critter.Report
+			run := critter.RunKey{Config: critter.ConfigKey(study.Name, v), Role: critter.RoleSelective}
 			if pol == critter.APriori && round.Eps > 0 {
 				// Offline iteration: full execution under online
 				// propagation to obtain critical-path execution counts
 				// (and samples).
-				tuned.StartConfigKeyed(study.ResetStats, ck)
+				tuned.StartConfigKeyed(study.ResetStats, run)
 				tuned.SetPolicy(critter.Online)
 				tuned.SetEps(0)
 				study.Run(tuned, tunedComm, v)
@@ -337,12 +341,13 @@ func runSweep(ctx context.Context, c *mpi.Comm, j sweepJob) SweepResult {
 				tuned.SetAprioriFreq(freqs)
 				tuned.SetPolicy(critter.APriori)
 				tuned.SetEps(round.Eps)
-				tuned.StartConfig(false) // keep the offline pass's samples
+				run.Pass = 1
+				tuned.StartConfigKeyed(false, run) // keep the offline pass's samples
 				study.Run(tuned, tunedComm, v)
 				sel = tuned.Report()
 			} else {
 				tuned.SetEps(round.Eps)
-				tuned.StartConfigKeyed(study.ResetStats, ck)
+				tuned.StartConfigKeyed(study.ResetStats, run)
 				study.Run(tuned, tunedComm, v)
 				sel = tuned.Report()
 			}

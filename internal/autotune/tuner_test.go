@@ -35,7 +35,7 @@ func TestTunerExhaustiveMatchesExperiment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(legacy, got) {
+		if !reflect.DeepEqual(observable(legacy), observable(got)) {
 			t.Errorf("Tuner (Workers: %d) differs from Experiment", workers)
 		}
 	}
@@ -297,7 +297,7 @@ func TestTunerStream(t *testing.T) {
 				ei = i
 			}
 		}
-		if !reflect.DeepEqual(res.Sweeps[0][ei], sw) {
+		if !reflect.DeepEqual(observableSweep(res.Sweeps[0][ei]), observableSweep(sw)) {
 			t.Errorf("streamed sweep eps %g differs from batch result", sw.Eps)
 		}
 	}
@@ -368,11 +368,11 @@ func TestExperimentPartialResults(t *testing.T) {
 // own identically seeded world).
 func TestFullOnlyParallelDeterminism(t *testing.T) {
 	st := CapitalCholesky(QuickScale())
-	seq, err := FullOnlyCtx(context.Background(), st, quickMachine(), 3, 1)
+	seq, err := FullOnly(context.Background(), st, quickMachine(), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := FullOnlyCtx(context.Background(), st, quickMachine(), 3, 4)
+	par, err := FullOnly(context.Background(), st, quickMachine(), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestFullOnlyParallelDeterminism(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	reports, err := FullOnlyCtx(cancelled, st, quickMachine(), 3, 2)
+	reports, err := FullOnly(cancelled, st, quickMachine(), 3, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled FullOnly err = %v", err)
 	}
@@ -425,16 +425,16 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	// The full per-sweep profiles and the memoization counter are
-	// deliberately not serialized (the envelope carries summaries;
-	// -profile-out persists the artifact; kernels_memoized_total carries
-	// the counter), so the round trip is checked against a stripped copy.
+	// The full per-sweep profiles, the memoization counter and the
+	// reference counter are deliberately not serialized (the envelope
+	// carries summaries; -profile-out persists the artifact;
+	// kernels_memoized_total carries the counter), so the round trip is
+	// checked against a stripped copy.
 	want := env
-	stripped := *res
-	stripped.Sweeps = make([][]SweepResult, len(res.Sweeps))
-	for pi := range res.Sweeps {
-		stripped.Sweeps[pi] = make([]SweepResult, len(res.Sweeps[pi]))
-		for ei, sw := range res.Sweeps[pi] {
+	stripped := observable(res)
+	for pi := range stripped.Sweeps {
+		for ei := range stripped.Sweeps[pi] {
+			sw := &stripped.Sweeps[pi][ei]
 			sw.Profile = nil
 			sw.KernelsMemoized = 0
 			sw.Configs = append([]ConfigResult(nil), sw.Configs...)
@@ -442,10 +442,9 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 				sw.Configs[ci].Full.Memoized = 0
 				sw.Configs[ci].Selective.Memoized = 0
 			}
-			stripped.Sweeps[pi][ei] = sw
 		}
 	}
-	want.Result = &stripped
+	want.Result = stripped
 	if !reflect.DeepEqual(want, back) {
 		t.Fatalf("round trip changed the envelope:\n%+v\n%+v", want, back)
 	}

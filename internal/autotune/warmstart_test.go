@@ -31,7 +31,7 @@ func TestTunerDefaultEstimatorBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(def, got) {
+	if !reflect.DeepEqual(observable(def), observable(got)) {
 		t.Error("explicit CI-mean estimator differs from the default path")
 	}
 }
@@ -203,7 +203,7 @@ func TestWarmStartStrategyDecorator(t *testing.T) {
 	if b.Strategy != "warm:exhaustive" {
 		t.Errorf("decorated strategy named %q, want warm:exhaustive", b.Strategy)
 	}
-	if !reflect.DeepEqual(a.Sweeps, b.Sweeps) {
+	if !reflect.DeepEqual(observable(a).Sweeps, observable(b).Sweeps) {
 		t.Error("WarmStart strategy and Tuner.Prior produced different sweeps")
 	}
 	// A nil prior decorates to the inner strategy unchanged; a nil inner

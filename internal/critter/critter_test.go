@@ -141,7 +141,7 @@ func TestMinimumOneExecutionPerConfig(t *testing.T) {
 		if firstConfigExecs < 1 {
 			t.Fatal("no executions in first config")
 		}
-		p.StartConfig(false) // keep stats
+		p.StartConfigKeyed(false, RunKey{Config: ConfigKey("min-one", 1)}) // keep stats
 		for i := 0; i < 50; i++ {
 			p.Kernel("k", 4, 4, 4, 0, 1e3, func() {})
 		}
@@ -354,7 +354,7 @@ func TestEagerModelsPersistAcrossConfigs(t *testing.T) {
 		if prop == 0 {
 			t.Fatal("no propagation in first config")
 		}
-		p.StartConfig(true) // reset requested, but eager keeps models
+		p.StartConfigKeyed(true, RunKey{Config: ConfigKey("eager", 1)}) // reset requested, but eager keeps models
 		if p.PropagatedKernels() != prop {
 			t.Error("eager lost propagated models at config boundary")
 		}
@@ -373,7 +373,7 @@ func TestStartConfigResets(t *testing.T) {
 		if len(p.PathFreqs()) == 0 {
 			t.Fatal("path should have entries")
 		}
-		p.StartConfig(true)
+		p.StartConfigKeyed(true, RunKey{Config: ConfigKey("resets", 1)})
 		if len(p.PathFreqs()) != 0 {
 			t.Error("path not cleared")
 		}

@@ -80,7 +80,7 @@ type ProfileCarrier interface {
 	LoadPrior(prior *Profile)
 }
 
-// profileArchiver is the internal fast path behind StartConfig's archiving:
+// profileArchiver is the internal fast path behind StartConfigKeyed's archiving:
 // the live learned state merges straight into the profiler's archive,
 // skipping the intermediate Profile an ExportProfile + Merge round trip
 // would allocate every configuration.

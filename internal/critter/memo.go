@@ -18,9 +18,9 @@ package critter
 //   - Per-configuration kernel tables. The first profiler to finish a
 //     configuration publishes its interner (Profiler.Report), keyed by the
 //     caller-supplied configuration key (StartConfigKeyed). Every later
-//     profiler that starts the same configuration — the selective run
-//     right after the reference run, and every run of the configuration
-//     in later sweeps — adopts the published table plus an immutable
+//     profiler that starts the same configuration — the selective runs
+//     after the reference run, and every run of the configuration in
+//     later sweeps — adopts the published table plus an immutable
 //     Key→id snapshot, so its steady-state intern path is a read-only map
 //     hit: no table lock, no insert, no per-config cache rebuild. Ids
 //     stay as compact as the configuration's active kernel set, keeping
@@ -43,8 +43,12 @@ package critter
 // A KernelMemo is safe for concurrent use by every rank of the worlds it
 // is threaded through. The sweep executor gives each worker goroutine its
 // own memo (alongside its buffer-pool arena), so cross-worker contention
-// never occurs; within a world the ranks share the memo's mutex, which is
-// touched only at configuration boundaries.
+// on the memo never occurs; within a world the ranks share the memo's
+// mutex, which is touched only at configuration boundaries. Published
+// entries may be shared between memos (Entry, Share) — the executor hands
+// a configuration's reference interner to every worker that reads the
+// reference — which is safe because an entry's snapshots are immutable
+// and its table locks its own writes.
 
 import (
 	"hash/fnv"
@@ -58,7 +62,7 @@ import (
 // NewKernelMemo and thread it through Options.Memo.
 type KernelMemo struct {
 	mu      sync.Mutex
-	configs map[uint64]*memoConfig
+	configs map[uint64]*MemoEntry
 	arenas  []*memoArena
 
 	// tableHits/tableMisses count StartConfigKeyed lookups (rank-0 only,
@@ -67,12 +71,15 @@ type KernelMemo struct {
 	tableMisses int64
 }
 
-// memoConfig is one published configuration: its shared interner plus
+// MemoEntry is one published configuration: its shared interner plus
 // immutable snapshots of the Key→id map and id→Key slice taken at publish
 // time. The snapshots are read without locks; a signature interned after
 // publication (only possible on a key collision or a nondeterministic
-// workload) simply misses the snapshot and falls through to the table.
-type memoConfig struct {
+// workload) simply misses the snapshot and falls through to the table,
+// which is safe for concurrent use. An entry is therefore shareable
+// between memos (KernelMemo.Entry, KernelMemo.Share); it is opaque
+// outside this package.
+type MemoEntry struct {
 	tab  *KernelTable
 	idOf map[Key]uint32
 	keys []Key
@@ -94,14 +101,15 @@ type memoArena struct {
 
 // NewKernelMemo returns an empty memo.
 func NewKernelMemo() *KernelMemo {
-	return &KernelMemo{configs: make(map[uint64]*memoConfig)}
+	return &KernelMemo{configs: make(map[uint64]*MemoEntry)}
 }
 
-// ConfigKey derives the memo key for one configuration of a named study.
+// ConfigKey derives the key of one configuration of a named study: the
+// memo key, and the configuration part of a run's noise epoch (RunKey).
 // Any deterministic hash works — the memo is observationally invisible, so
-// even a collision only costs speed, never correctness — but the key must
-// include the study identity: one worker's memo may serve sweeps of
-// several studies.
+// a collision only costs speed there, and two colliding configurations
+// merely draw the same noise — but the key must include the study
+// identity: one worker's memo may serve sweeps of several studies.
 func ConfigKey(study string, config int) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(study))
@@ -115,7 +123,7 @@ func ConfigKey(study string, config int) uint64 {
 
 // lookup returns the published state for a configuration key, nil when the
 // configuration has not completed anywhere yet.
-func (m *KernelMemo) lookup(key uint64) *memoConfig {
+func (m *KernelMemo) lookup(key uint64) *MemoEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mc := m.configs[key]
@@ -149,9 +157,31 @@ func (m *KernelMemo) publish(key uint64, tab *KernelTable) {
 		return tab.snapshot()
 	}()
 	if _, ok := m.configs[key]; !ok {
-		m.configs[key] = &memoConfig{tab: tab, idOf: ids, keys: keys}
+		m.configs[key] = &MemoEntry{tab: tab, idOf: ids, keys: keys}
 	}
 	m.mu.Unlock()
+}
+
+// Entry returns the state published under key, nil when none. Unlike a
+// profiler's lookup at StartConfigKeyed it counts as neither hit nor miss.
+func (m *KernelMemo) Entry(key uint64) *MemoEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.configs[key]
+}
+
+// Share files e, published by another memo, under key, so this memo's next
+// profiler to start the configuration adopts it instead of building a
+// fresh interner. First publisher wins, as in publish; a nil e is ignored.
+func (m *KernelMemo) Share(key uint64, e *MemoEntry) {
+	if e == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.configs[key]; !ok {
+		m.configs[key] = e
+	}
 }
 
 // acquireArena pops a retired arena, nil when none is available.

@@ -290,7 +290,7 @@ func TestProfilerExportAndPrior(t *testing.T) {
 	}
 }
 
-// TestProfilerPriorSurvivesReset checks that StartConfig's statistics reset
+// TestProfilerPriorSurvivesReset checks that StartConfigKeyed's statistics reset
 // returns the estimator to the prior, not to cold: every configuration of a
 // warm-started sweep benefits.
 func TestProfilerPriorSurvivesReset(t *testing.T) {
@@ -304,7 +304,7 @@ func TestProfilerPriorSurvivesReset(t *testing.T) {
 	})
 	runProfiled(t, 1, 0.05, Options{Policy: Conditional, Eps: 0.05, Prior: exported},
 		func(p *Profiler, cc *Comm) {
-			p.StartConfig(true)
+			p.StartConfigKeyed(true, RunKey{Config: ConfigKey("prior", 1)})
 			if p.Samples(key) != exported.Kernels[key].Count {
 				t.Errorf("after reset: %d samples, want the prior's %d", p.Samples(key), exported.Kernels[key].Count)
 			}
@@ -327,7 +327,7 @@ func TestProfileArchiveSpansConfigs(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			p.Kernel("gemm", 8, 8, 8, 0, 1e4, func() {})
 		}
-		p.StartConfig(true) // wipes live stats, archives them
+		p.StartConfigKeyed(true, RunKey{Config: ConfigKey("archive", 1)}) // wipes live stats, archives them
 		for i := 0; i < 5; i++ {
 			p.Kernel("gemm", 16, 16, 16, 0, 8e4, func() {})
 		}

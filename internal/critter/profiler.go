@@ -6,6 +6,7 @@ import (
 	"critter/internal/channel"
 	"critter/internal/mpi"
 	"critter/internal/obs"
+	"critter/internal/sim"
 	"critter/internal/stats"
 )
 
@@ -56,7 +57,7 @@ type Options struct {
 	// Prior warm-starts the estimator from a profile exported by an
 	// earlier run (Profiler.ExportProfile / GlobalProfile). Ignored when
 	// the estimator does not implement ProfileCarrier. The prior survives
-	// StartConfig resets: every configuration starts from it.
+	// StartConfigKeyed resets: every configuration starts from it.
 	Prior *Profile
 	// Memo, when non-nil, attaches the sweep-scoped cross-config
 	// memoization cache (see KernelMemo): configurations started through
@@ -140,7 +141,7 @@ type Profiler struct {
 	// ciMean does); nil otherwise.
 	est  Estimator
 	fast idEstimator
-	// archive accumulates profile exports across StartConfig resets, so
+	// archive accumulates profile exports across StartConfigKeyed resets, so
 	// ExportProfile covers everything the run learned, not just the
 	// current configuration.
 	archive *Profile
@@ -153,12 +154,11 @@ type Profiler struct {
 	trace obs.Tracer
 
 	// memo is the attached cross-config cache (Options.Memo; nil disables
-	// memoization). memoKey/memoKeyed identify the configuration started
-	// by StartConfigKeyed; memoFresh marks rank 0 as owing the memo a
+	// memoization). memoKey identifies the configuration started by
+	// StartConfigKeyed; memoFresh marks rank 0 as owing the memo a
 	// publication of the configuration's table at the next Report.
 	memo      *KernelMemo
 	memoKey   uint64
-	memoKeyed bool
 	memoFresh bool
 
 	// Per-configuration accumulators.
@@ -186,7 +186,7 @@ type Profiler struct {
 // unpredictable at every freq <= falseAt. Zero means "no bound yet" (the
 // frequency credit is always >= 1). Entries are invalidated per id when the
 // model changes (record) and wholesale when eps or the whole model set
-// changes (SetEps, StartConfig's statistics reset).
+// changes (SetEps, StartConfigKeyed's statistics reset).
 type predCache struct {
 	trueAt  int64 // minimal freq observed predictable (0: none)
 	falseAt int64 // maximal freq observed unpredictable (0: none)
@@ -592,38 +592,58 @@ func (p *Profiler) Kernel(name string, d1, d2, d3, d4 int, flops float64, run fu
 	return dt
 }
 
-// StartConfig begins a new tuning configuration: the pathset, per-config
-// counters, and volumetric accumulators are cleared, virtual clocks are
-// reset collectively, and — when resetStats is true — all kernel models are
-// discarded (the paper resets statistics between configurations of SLATE's
-// and CANDMC's algorithms; eager propagation keeps its models to reuse them
-// across configurations). Collective over the world communicator.
-//
-// The dense per-id tables are cleared in place, so the steady state across
-// configurations allocates nothing.
-func (p *Profiler) StartConfig(resetStats bool) {
-	p.startConfig(resetStats, 0, false)
+// Role names which execution of a configuration a run is.
+type Role uint8
+
+// Run roles.
+const (
+	// RoleReference is the full execution a configuration's selective
+	// runs are judged against (the ground truth).
+	RoleReference Role = iota
+	// RoleSelective is an execution under a selective policy.
+	RoleSelective
+)
+
+// RunKey identifies one execution of a configuration: the configuration
+// (ConfigKey), the run's role, and its pass — 0, or 1 for the second of
+// two back-to-back runs of one role (the a-priori policy's selective pass
+// after its offline pass).
+type RunKey struct {
+	Config uint64
+	Role   Role
+	Pass   uint8
 }
 
-// StartConfigKeyed is StartConfig for a configuration with a stable identity
-// (critter.ConfigKey): with a KernelMemo attached (Options.Memo) and the
-// statistics reset in effect, the configuration adopts the memo-published
-// interner of an earlier run of the same configuration — or, on the first
-// run anywhere, publishes its own at the next Report. Identical to
-// StartConfig when no memo is attached; byte-identical in results always.
-func (p *Profiler) StartConfigKeyed(resetStats bool, cfg uint64) {
-	p.startConfig(resetStats, cfg, true)
-}
-
-// tabMsg is the payload of StartConfig's alignment round: a fresh interner
+// tabMsg is the payload of StartConfigKeyed's alignment round: a fresh interner
 // to distribute, or a memo-published configuration to adopt (both nil on
 // every rank but 0, and on rank 0 when ids are not being reset).
 type tabMsg struct {
 	tab *KernelTable
-	mc  *memoConfig
+	mc  *MemoEntry
 }
 
-func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
+// StartConfigKeyed begins run, a new execution of a tuning configuration:
+// the pathset, per-config counters, and volumetric accumulators are
+// cleared, virtual clocks are reset collectively, and — when resetStats is
+// true — all kernel models are discarded (the paper resets statistics
+// between configurations of SLATE's and CANDMC's algorithms; eager
+// propagation keeps its models to reuse them across configurations).
+// Collective over the world communicator.
+//
+// Right after the alignment round every rank begins a noise epoch keyed by
+// run (mpi.Comm.BeginEpoch), so the run's virtual timings depend only on
+// (world seed, run, rank) — not on whatever the world ran before — and a
+// run repeated in any world, after any other runs, reproduces the same
+// report. With a KernelMemo attached (Options.Memo) and the statistics
+// reset in effect, the configuration also adopts the memo-published
+// interner of an earlier run of the same configuration — or, on the first
+// run anywhere, publishes its own at the next Report; the memo never
+// changes results.
+//
+// The dense per-id tables are cleared in place, so the steady state across
+// configurations allocates nothing.
+func (p *Profiler) StartConfigKeyed(resetStats bool, run RunKey) {
+	cfg := run.Config
 	resetIDs := resetStats && p.opts.Policy != Eager
 	// Align ranks before resetting clocks; when the per-id bookkeeping is
 	// about to be discarded anyway, the same round distributes the next
@@ -636,7 +656,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 	// snapshots instead of an empty table.
 	var msg tabMsg
 	if resetIDs && p.rank == 0 {
-		if keyed && p.memo != nil {
+		if p.memo != nil {
 			msg.mc = p.memo.lookup(cfg)
 		}
 		if msg.mc == nil {
@@ -644,6 +664,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		}
 	}
 	g := mpi.GatherMsgUntimed(p.world.internal, msg)[0]
+	p.world.internal.BeginEpoch(sim.Mix(cfg, uint64(run.Role), uint64(run.Pass)))
 	p.world.user.ResetClock()
 	p.archivePathFreqs() // resolves ids through the outgoing table
 	p.kernelTime, p.compKernelTime = 0, 0
@@ -658,7 +679,6 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 		p.est.Reset()
 		p.extrapolatedSkips = 0
 		p.memoKey = cfg
-		p.memoKeyed = keyed && p.memo != nil
 		if g.mc != nil {
 			// Memo hit: adopt the published interner and snapshots.
 			p.tab = g.mc.tab
@@ -669,7 +689,7 @@ func (p *Profiler) startConfig(resetStats bool, cfg uint64, keyed bool) {
 			p.roIDs, p.roKeys = nil, nil
 			// Rank 0 owes the memo this configuration's table once the
 			// run completes (one publication per world, not per rank).
-			p.memoFresh = p.memoKeyed && p.rank == 0
+			p.memoFresh = p.memo != nil && p.rank == 0
 		}
 		// Empty the per-id tables down to zero length (capacity kept) so
 		// they regrow to the new, compact id range.
@@ -876,7 +896,7 @@ func (p *Profiler) GlobalPathFreqs() map[Key]int64 {
 }
 
 // archivePathFreqs max-merges the configuration's path frequency table into
-// the archive before StartConfig resets the pathset.
+// the archive before StartConfigKeyed resets the pathset.
 func (p *Profiler) archivePathFreqs() {
 	freqs := p.path.Kernels
 	if !freqs.active() {

@@ -46,7 +46,7 @@ type Fig3 struct {
 
 // RunFig3 executes every configuration once with full kernel execution.
 func RunFig3(study autotune.Study, machine sim.Machine, seed uint64) (*Fig3, error) {
-	reports, err := autotune.FullOnly(study, machine, seed)
+	reports, err := autotune.FullOnly(context.Background(), study, machine, seed, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func RunFig3All(ctx context.Context, studies []autotune.Study, machine sim.Machi
 	out := make([]*Fig3, len(studies))
 	errs := make([]error, len(studies))
 	for i, st := range studies {
-		reports, err := autotune.FullOnlyCtx(ctx, st, machine, seed, workers)
+		reports, err := autotune.FullOnly(ctx, st, machine, seed, workers)
 		if err != nil {
 			errs[i] = err
 		} else {

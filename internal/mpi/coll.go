@@ -72,12 +72,15 @@ func (c *Comm) collCost(kind collKind, nbytes float64, p int) float64 {
 
 // finishColl advances the rank's clock to the synchronized completion time
 // of a collective round: max participant clock plus the modeled cost with a
-// per-round shared noise factor (so all members complete together).
+// per-round shared noise factor (so all members complete together). The
+// factor is keyed by the noise epoch, the communicator's noise identity and
+// the round's index within the epoch — never by the absolute round count,
+// which depends on everything the world ran before.
 func (c *Comm) finishColl(maxT float64, kind collKind, nbytes float64, seq uint64) float64 {
 	cost := c.collCost(kind, nbytes, len(c.group))
 	m := c.w.machine
 	if m.NoiseSigma > 0 {
-		rng := sim.NewRNG(sim.Mix(c.w.seed, c.ctx, seq, 0xc0))
+		rng := sim.NewRNG(sim.Mix(c.state.epoch, c.noise, c.epochRound(seq), 0xc0))
 		cost *= m.Noise(rng)
 	}
 	before := c.state.clock.Now()

@@ -20,7 +20,20 @@ type Comm struct {
 	state *rankState
 
 	collSeq uint64 // per-rank count of collectives issued on this comm
-	p2pSeq  uint64 // used only to diversify noise streams
+
+	// noise is the communicator's noise identity: the world's is 0, and a
+	// derived communicator's mixes its parent's identity with the
+	// epoch-relative round that created it (Split, Dup). Unlike ctx, which
+	// must stay unique across the world's lifetime for message matching,
+	// it repeats whenever the same program creates the same communicator
+	// at the same point of a noise epoch. In a world that never begins an
+	// epoch it equals ctx.
+	noise uint64
+	// epochGen is the rank's epoch generation this handle last saw, and
+	// epochBase the collSeq of the handle's first round in that epoch:
+	// collSeq - epochBase numbers rounds from the start of the epoch.
+	epochGen  uint64
+	epochBase uint64
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -111,14 +124,17 @@ func (c *Comm) Split(color, key int) *Comm {
 		}
 	}
 	// Deterministic context id, identical across members of the new comm
-	// and unique across (parent comm, round, color).
-	ctx := sim.Mix(c.ctx, seq, uint64(color)+0x51b7, uint64(group[0])+1)
+	// and unique across (parent comm, round, color); the noise identity
+	// is derived the same way from the epoch-relative round.
+	salt, lead := uint64(color)+0x51b7, uint64(group[0])+1
 	return &Comm{
-		w:     c.w,
-		ctx:   ctx,
-		rank:  myRank,
-		group: group,
-		state: c.state,
+		w:        c.w,
+		ctx:      sim.Mix(c.ctx, seq, salt, lead),
+		rank:     myRank,
+		group:    group,
+		state:    c.state,
+		noise:    sim.Mix(c.noise, c.epochRound(seq), salt, lead),
+		epochGen: c.state.epochGen,
 	}
 }
 
@@ -130,15 +146,44 @@ type splitRecord struct{ color, key, parentRank, worldRank int }
 // traffic from colliding with application messages.
 func (c *Comm) Dup() *Comm {
 	_, _, seq := fabricOf[struct{}](c.w).gatherRound(c, struct{}{})
-	ctx := sim.Mix(c.ctx, seq, 0xd0bb1e)
 	return &Comm{
-		w:     c.w,
-		ctx:   ctx,
-		rank:  c.rank,
-		group: c.group,
-		state: c.state,
+		w:        c.w,
+		ctx:      sim.Mix(c.ctx, seq, 0xd0bb1e),
+		rank:     c.rank,
+		group:    c.group,
+		state:    c.state,
+		noise:    sim.Mix(c.noise, c.epochRound(seq), 0xd0bb1e),
+		epochGen: c.state.epochGen,
 	}
 }
+
+// BeginEpoch starts a new noise epoch on the calling rank. From here on,
+// every noise draw of the rank — its kernel and point-to-point stream (RNG,
+// reseeded in place) and the shared factor of each collective round —
+// depends only on (world seed, id, world rank) and the draw's position
+// since the epoch began, never on what the world ran before. Every rank of
+// the world must begin the epoch with the same id between the same two
+// collective rounds of each communicator (typically right after a common
+// untimed round), so that rounds are numbered alike on every member.
+func (c *Comm) BeginEpoch(id uint64) {
+	st := c.state
+	st.epoch = sim.Mix(c.w.seed, id)
+	st.epochGen++
+	st.rng.Seed(sim.Mix(st.epoch, uint64(st.worldRank), 0x6d7069))
+}
+
+// syncEpoch notes the round with sequence number seq on the handle: the
+// first round after the rank began a new epoch becomes round 0 of it.
+// Called for every round, so all members agree on the numbering.
+func (c *Comm) syncEpoch(seq uint64) {
+	if c.epochGen != c.state.epochGen {
+		c.epochGen = c.state.epochGen
+		c.epochBase = seq
+	}
+}
+
+// epochRound returns round seq's index since the current epoch began.
+func (c *Comm) epochRound(seq uint64) uint64 { return seq - c.epochBase }
 
 // Stride describes a communicator's placement in the world as the offset of
 // its first member plus the (stride, size) of each dimension when the group

@@ -170,6 +170,7 @@ func (f *fabric[T]) match(c *Comm, src, tag int) fmsg[T] {
 func (f *fabric[T]) gatherRound(c *Comm, payload T) ([]T, float64, uint64) {
 	seq := c.collSeq
 	c.collSeq++
+	c.syncEpoch(seq)
 	key := roundKey{c.ctx, seq}
 	sh := f.shardOf(key)
 	sh.mu.Lock()

@@ -353,6 +353,48 @@ func TestDeterministicVirtualTime(t *testing.T) {
 	}
 }
 
+// TestBeginEpochIsolatesNoise checks that a noise epoch makes a run's
+// timings positional: the same program after BeginEpoch yields the same
+// per-rank clocks whether or not other noisy work — compute, messages,
+// collectives, communicator splits — ran before the epoch in that world.
+func TestBeginEpochIsolatesNoise(t *testing.T) {
+	work := func(c *Comm, iters int) {
+		buf := make([]float64, 64)
+		for iter := 0; iter < iters; iter++ {
+			sub := c.Split(c.Rank()%2, c.Rank())
+			sub.Allreduce(buf, buf, OpSum)
+			c.Bcast(iter%4, buf)
+			peer, prev := (c.Rank()+1)%4, (c.Rank()+3)%4
+			c.Sendrecv(peer, iter, buf[:8], prev, iter, buf[:8])
+			c.Compute(1e5)
+		}
+	}
+	final := func(warmup int) []float64 {
+		w := NewWorld(4, sim.DefaultMachine(), 99)
+		out := make([]float64, 4)
+		var mu sync.Mutex
+		if err := w.Run(func(c *Comm) {
+			work(c, warmup)
+			c.Barrier()
+			c.BeginEpoch(7)
+			c.ResetClock()
+			work(c, 5)
+			mu.Lock()
+			out[c.Rank()] = c.Clock()
+			mu.Unlock()
+		}); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return out
+	}
+	fresh, after := final(0), final(3)
+	for r := range fresh {
+		if fresh[r] != after[r] {
+			t.Errorf("rank %d: epoch run after other work took %g, in a fresh world %g", r, after[r], fresh[r])
+		}
+	}
+}
+
 func TestSplitRowsAndCols(t *testing.T) {
 	// 2x3 grid: color by row, key by col.
 	run(t, 6, func(c *Comm) {

@@ -89,6 +89,12 @@ type rankState struct {
 	worldRank int
 	clock     sim.Clock
 	rng       *sim.RNG
+	// epoch keys the collective noise of the current noise epoch (the same
+	// value on every rank); epochGen counts the epochs this rank has begun,
+	// so communicators can tell lazily that a new one started (see
+	// BeginEpoch).
+	epoch    uint64
+	epochGen uint64
 	// splitScratch is reused across this rank's Split calls for the
 	// transient sorted-record view (the records are copied into the new
 	// communicator's group before Split returns).
@@ -114,6 +120,7 @@ func NewWorld(size int, machine sim.Machine, seed uint64) *World {
 		w.ranks[r] = &rankState{
 			worldRank: r,
 			rng:       sim.NewRNG(sim.Mix(seed, uint64(r), 0x6d7069)),
+			epoch:     seed,
 		}
 	}
 	w.dataFab = fabricOf[[]float64](w)
